@@ -2,19 +2,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "common/worker_pool.hh"
 #include "obs/obs.hh"
 #include "pipeline/checkpoint.hh"
 #include "pipeline/work_queue.hh"
-#include "pipeline/worker_pool.hh"
-#include "stream/stream_analyzer.hh"
-#include "trace/segmented_io.hh"
-#include "trace/trace_io.hh"
 
 namespace wmr {
 
@@ -29,223 +24,60 @@ secondsSince(Clock::time_point start)
         .count();
 }
 
-/** One worker's private metric accumulators (merged at exit). */
-struct WorkerTotals
+/** Analyze one corpus trace.  Never renders: on race-dense traces
+ *  the report text costs more than finding the races. */
+AnalysisOutcome
+analyzeOneTrace(const std::string &path, const BatchOptions &opts)
 {
-    StageSeconds stages;
-    AnalysisStageSeconds analysis;
-    std::uint64_t candidatePairs = 0;
-    std::uint64_t reachQueries = 0;
-};
-
-/**
- * Stream-analyze one segmented trace (BatchOptions::stream): same
- * TraceRunResult fields — including the salvage-recovered-nothing
- * quarantine rule — as the whole-trace path, O(window) memory.
- */
-void
-streamOneTrace(const std::string &path, const BatchOptions &opts,
-               TraceRunResult &out, StageSeconds &stages)
-{
-    obs::StagedSpan analyzeSpan("batch.analyze", stages.analyze);
-    StreamOptions sopts;
-    sopts.strict = !opts.salvage;
-    sopts.windowSegments = opts.streamWindow;
-    const StreamResult sr = streamAnalyzeFile(path, sopts);
-    if (sr.ok && sr.salvage.salvaged && sr.events == 0) {
-        out.status = TraceRunStatus::FormatError;
-        out.error = "salvage recovered no events (" +
-                    sr.salvage.summary() + ")";
-        return;
-    }
-    if (!sr.ok) {
-        out.status = TraceRunStatus::FormatError;
-        out.error = sr.error;
-        return;
-    }
-    out.salvaged = sr.salvage.salvaged;
-    out.unresolvedPairings = sr.salvage.unresolvedPairings;
-    out.droppedDataRecords = sr.salvage.droppedDataRecords;
-    out.status = TraceRunStatus::Ok;
-    out.events = sr.events;
-    out.syncEvents = sr.syncEvents;
-    out.ops = sr.ops;
-    out.races = sr.races;
-    out.dataRaces = sr.dataRaces;
-    out.partitions = sr.partitions;
-    out.firstPartitions = sr.firstPartitions;
-    out.reportedRaces = sr.reportedRaces;
-    out.anyDataRace = sr.anyDataRace;
-    out.wholeExecutionSc = sr.wholeExecutionSc;
-}
-
-/** Load + parse + analyze one trace file into @p out. */
-void
-analyzeOneTrace(const std::string &path, const BatchOptions &opts,
-                TraceRunResult &out, WorkerTotals &totals)
-{
-    StageSeconds &stages = totals.stages;
-    out.path = path;
-
     obs::Span traceSpan("batch.trace");
     traceSpan.annotate(path);
+    AnalysisRequest req;
+    req.path = path;
+    req.salvage = opts.salvage;
+    req.engines = opts.engineKinds;
+    req.stream = opts.stream;
+    req.window = opts.streamWindow;
+    req.analysis = opts.analysis;
+    req.spans = {"batch.read", "batch.parse", "batch.analyze"};
+    return runAnalysisRequest(req);
+}
 
-    ExecutionTrace trace;
-    {
-        std::vector<std::uint8_t> bytes;
-        {
-            obs::StagedSpan s("batch.read", stages.read);
-            std::ifstream in(path, std::ios::binary);
-            if (!in) {
-                out.status = TraceRunStatus::IoError;
-                out.error =
-                    "cannot open trace file '" + path + "'";
-                return;
-            }
-            bytes.assign((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-            if (in.bad()) {
-                out.status = TraceRunStatus::IoError;
-                out.error =
-                    "read error on trace file '" + path + "'";
-                return;
-            }
-            out.fileBytes = bytes.size();
-        }
-
-        obs::StagedSpan s("batch.parse", stages.parse);
-        if (looksSegmented(bytes.data(), bytes.size())) {
-            if (opts.stream) {
-                // Bounded-memory path: drop the materialized bytes
-                // and stream the file instead.
-                bytes.clear();
-                bytes.shrink_to_fit();
-                streamOneTrace(path, opts, out, stages);
-                return;
-            }
-            // Segmented traces go through their own reader (rather
-            // than the sniffing tryDeserializeTrace) so the batch can
-            // salvage damaged files and surface recorder-side losses
-            // per trace.
-            auto seg = opts.salvage ? trySalvageTrace(bytes)
-                                    : tryReadSegmentedTrace(bytes);
-            if (seg.ok() && seg.salvage.salvaged &&
-                seg.trace.events().empty()) {
-                // Nothing recoverable: fail so the file lands in the
-                // quarantine instead of passing as an empty analysis.
-                seg.status = TraceIoStatus::FormatError;
-                seg.error = "salvage recovered no events (" +
-                            seg.salvage.summary() + ")";
-            }
-            if (!seg.ok()) {
-                out.status = seg.status == TraceIoStatus::IoError
-                                 ? TraceRunStatus::IoError
-                                 : TraceRunStatus::FormatError;
-                out.error = seg.error;
-                return;
-            }
-            out.salvaged = seg.salvage.salvaged;
-            out.unresolvedPairings = seg.salvage.unresolvedPairings;
-            out.droppedDataRecords = seg.salvage.droppedDataRecords;
-            trace = std::move(seg.trace);
-        } else {
-            auto parsed = tryDeserializeTrace(bytes);
-            if (!parsed.ok()) {
-                out.status = parsed.status == TraceIoStatus::IoError
-                                 ? TraceRunStatus::IoError
-                                 : TraceRunStatus::FormatError;
-                out.error = parsed.error;
-                return;
-            }
-            trace = std::move(parsed.trace);
-        }
-    }
-
-    obs::StagedSpan analyzeSpan("batch.analyze", stages.analyze);
-    if (!opts.engineKinds.empty()) {
-        // `batch --engine`: the detector family replaces the
-        // canonical pipeline; counts per fillFromEngineFamily().
-        engines::EngineFamilyOptions fopts;
-        fopts.kinds = opts.engineKinds;
-        fopts.threads = opts.analysis.threads;
-        const engines::EngineFamilyResult fam =
-            engines::runEngineFamily(trace, fopts);
-        out.status = TraceRunStatus::Ok;
-        fillFromEngineFamily(fam, out);
-        return;
-    }
-    const DetectionResult det =
-        analyzeTrace(std::move(trace), opts.analysis);
-    const AnalysisStats &as = det.stats();
-    totals.analysis.graphBuild += as.graphBuildSeconds;
-    totals.analysis.reachability += as.reachabilitySeconds;
-    totals.analysis.raceFind += as.raceFindSeconds;
-    totals.analysis.augment += as.augmentSeconds;
-    totals.analysis.partition += as.partitionSeconds;
-    totals.analysis.scp += as.scpSeconds;
-    totals.candidatePairs += as.finder.candidatePairs;
-    totals.reachQueries += as.finder.reachQueries;
-
-    out.status = TraceRunStatus::Ok;
-    out.events = det.trace().events().size();
-    out.syncEvents = det.trace().numSyncEvents();
-    out.ops = det.trace().totalOps();
-    out.races = det.races().size();
-    out.dataRaces = det.numDataRaces();
-    out.partitions = det.partitions().partitions.size();
-    out.firstPartitions = det.partitions().firstPartitions.size();
-    out.reportedRaces = det.reportedRaces().size();
-    out.anyDataRace = det.anyDataRace();
-    out.wholeExecutionSc = det.scp().wholeExecutionSc;
+/** Fold one trace's stage timings into @p m (worker-seconds). */
+void
+addStageTimes(const AnalysisOutcome &res, BatchMetrics &m)
+{
+    m.stageTotal.read += res.stages.read;
+    m.stageTotal.parse += res.stages.parse;
+    m.stageTotal.analyze += res.stages.analyze;
+    const AnalysisStats &as = res.analysis;
+    m.analysisStages.graphBuild += as.graphBuildSeconds;
+    m.analysisStages.reachability += as.reachabilitySeconds;
+    m.analysisStages.raceFind += as.raceFindSeconds;
+    m.analysisStages.augment += as.augmentSeconds;
+    m.analysisStages.partition += as.partitionSeconds;
+    m.analysisStages.scp += as.scpSeconds;
+    m.candidatePairs += as.finder.candidatePairs;
+    m.reachQueries += as.finder.reachQueries;
 }
 
 } // namespace
 
-const char *
-traceRunStatusName(TraceRunStatus status)
-{
-    switch (status) {
-      case TraceRunStatus::Ok:
-        return "ok";
-      case TraceRunStatus::IoError:
-        return "io_error";
-      case TraceRunStatus::FormatError:
-        return "format_error";
-      case TraceRunStatus::Skipped:
-        return "skipped";
-    }
-    return "unknown";
-}
-
 void
-fillFromEngineFamily(const engines::EngineFamilyResult &fam,
-                     TraceRunResult &out)
+tallyOutcomes(BatchResult &batch)
 {
-    out.events = fam.info.numEvents;
-    out.syncEvents = fam.info.numSyncEvents;
-    out.ops = fam.info.totalOps;
-
-    // The weakest chain engine that ran holds the superset race set
-    // (containment chain), so its counts are "everything predicted".
-    const engines::EngineVerdict *primary = nullptr;
-    for (const engines::EngineVerdict &v : fam.verdicts) {
-        if (!v.opLevel)
-            primary = &v;
+    BatchMetrics &m = batch.metrics;
+    for (const TraceRunResult &t : batch.traces) {
+        m.bytesRead += t.fileBytes;
+        if (t.ok()) {
+            ++m.analyzed;
+            if (t.salvaged)
+                ++m.salvaged;
+        } else if (t.failed()) {
+            ++m.failed;
+        } else {
+            ++m.skipped;
+        }
     }
-    if (primary != nullptr) {
-        out.races = primary->races.size();
-        out.dataRaces = primary->numDataRaces;
-    }
-    if (const engines::EngineVerdict *hb1 = fam.verdict("hb1")) {
-        out.partitions = hb1->partitions;
-        out.firstPartitions = hb1->firstPartitions;
-        out.reportedRaces = hb1->reported.size();
-    }
-    out.anyDataRace = fam.anyDataRace;
-    // Same rule the SCP stage applies (scp.cc): the whole execution
-    // is sequentially consistent iff no read ever returned a stale
-    // value.
-    out.wholeExecutionSc = fam.info.firstStaleRead == kNoOp;
 }
 
 bool
@@ -343,12 +175,10 @@ runBatch(const CorpusScan &corpus, const BatchOptions &opts)
     std::atomic<bool> journalWarned{false};
 
     std::mutex metricsMutex;
-    WorkerTotals grandTotal;
 
     const auto workerBody = [&](unsigned worker) {
         obs::setThreadName("batch.worker." + std::to_string(worker));
         obs::Span workerSpan("batch.worker");
-        WorkerTotals local;
         std::size_t index = 0;
         while (queue.pop(index)) {
             TraceRunResult &slot = result.traces[index];
@@ -359,8 +189,13 @@ runBatch(const CorpusScan &corpus, const BatchOptions &opts)
                 slot.error = "--fail-fast after an earlier failure";
                 continue;
             }
-            analyzeOneTrace(corpus.files[index], effective, slot,
-                            local);
+            AnalysisOutcome res =
+                analyzeOneTrace(corpus.files[index], effective);
+            slot = std::move(res.result);
+            {
+                std::lock_guard<std::mutex> lock(metricsMutex);
+                addStageTimes(res, result.metrics);
+            }
             if (slot.failed())
                 abortDispatch.store(true,
                                     std::memory_order_relaxed);
@@ -369,19 +204,6 @@ runBatch(const CorpusScan &corpus, const BatchOptions &opts)
                 warn("batch: checkpoint journaling failed: %s",
                      journal.lastError().c_str());
         }
-        std::lock_guard<std::mutex> lock(metricsMutex);
-        grandTotal.stages.read += local.stages.read;
-        grandTotal.stages.parse += local.stages.parse;
-        grandTotal.stages.analyze += local.stages.analyze;
-        grandTotal.analysis.graphBuild += local.analysis.graphBuild;
-        grandTotal.analysis.reachability +=
-            local.analysis.reachability;
-        grandTotal.analysis.raceFind += local.analysis.raceFind;
-        grandTotal.analysis.augment += local.analysis.augment;
-        grandTotal.analysis.partition += local.analysis.partition;
-        grandTotal.analysis.scp += local.analysis.scp;
-        grandTotal.candidatePairs += local.candidatePairs;
-        grandTotal.reachQueries += local.reachQueries;
     };
 
     {
@@ -406,23 +228,8 @@ runBatch(const CorpusScan &corpus, const BatchOptions &opts)
     }
 
     result.metrics.wallSeconds = secondsSince(wallStart);
-    result.metrics.stageTotal = grandTotal.stages;
-    result.metrics.analysisStages = grandTotal.analysis;
-    result.metrics.candidatePairs = grandTotal.candidatePairs;
-    result.metrics.reachQueries = grandTotal.reachQueries;
     result.metrics.peakQueueDepth = queue.peakDepth();
-    for (const auto &t : result.traces) {
-        result.metrics.bytesRead += t.fileBytes;
-        if (t.ok()) {
-            ++result.metrics.analyzed;
-            if (t.salvaged)
-                ++result.metrics.salvaged;
-        } else if (t.failed()) {
-            ++result.metrics.failed;
-        } else {
-            ++result.metrics.skipped;
-        }
-    }
+    tallyOutcomes(result);
 
     // Publish the batch into the shared registry alongside the
     // analysis.* and rt.* series; the JSON report keeps its own

@@ -18,8 +18,9 @@
  *    re-analyzing completed traces, and the resumed report is
  *    byte-identical to an uninterrupted run's.
  *
- * The analysis entry point analyzeTrace() is reentrant — it keeps all
- * state inside the DetectionResult being built and touches no global
+ * Each trace goes through runAnalysisRequest() (analysis_request.hh),
+ * the path `check` and `serve` use too.  It is reentrant — it keeps
+ * all state inside the outcome being built and touches no global
  * mutable data — so workers need no locking around it; the pipeline's
  * only shared state is the work queue and the result slots (disjoint
  * per trace).
@@ -33,65 +34,11 @@
 #include <vector>
 
 #include "detect/analysis.hh"
-#include "engines/family.hh"
+#include "pipeline/analysis_request.hh"
 #include "pipeline/metrics.hh"
 #include "pipeline/trace_corpus.hh"
 
 namespace wmr {
-
-/** Outcome class of one corpus trace. */
-enum class TraceRunStatus : std::uint8_t {
-    Ok,          ///< analyzed successfully
-    IoError,     ///< file missing/unreadable
-    FormatError, ///< file bytes are not a well-formed trace
-    Skipped,     ///< not analyzed (--fail-fast after a failure)
-};
-
-/** @return a stable lowercase name for @p status. */
-const char *traceRunStatusName(TraceRunStatus status);
-
-/** Per-trace result: either a failure reason or summary counts. */
-struct TraceRunResult
-{
-    std::string path;
-    TraceRunStatus status = TraceRunStatus::Ok;
-
-    /** Failure reason (status != Ok). */
-    std::string error;
-
-    // --- Summary of the analysis (status == Ok) -----------------
-    std::uint64_t fileBytes = 0;
-    std::uint64_t events = 0;
-    std::uint64_t syncEvents = 0;
-    std::uint64_t ops = 0;
-    std::uint64_t races = 0;
-    std::uint64_t dataRaces = 0;
-    std::uint64_t partitions = 0;
-    std::uint64_t firstPartitions = 0;
-    std::uint64_t reportedRaces = 0;
-    bool anyDataRace = false;
-    bool wholeExecutionSc = false;
-
-    // --- Provenance (segmented "WMRSEG01" traces only) ----------
-    /** The trace was a damaged/truncated segmented file and only
-     *  the valid checksummed prefix was analyzed. */
-    bool salvaged = false;
-
-    /** Acquire events whose paired release was lost with the
-     *  dropped tail (so1 edges missing => races may be missed). */
-    std::uint64_t unresolvedPairings = 0;
-
-    /** Data records the recorder's Drop overflow policy lost. */
-    std::uint64_t droppedDataRecords = 0;
-
-    bool ok() const { return status == TraceRunStatus::Ok; }
-    bool
-    failed() const
-    {
-        return status == TraceRunStatus::IoError ||
-               status == TraceRunStatus::FormatError;
-    }
-};
 
 /** Knobs of one batch run. */
 struct BatchOptions
@@ -141,9 +88,10 @@ struct BatchOptions
     /**
      * Detector-engine selection (`batch --engine`): empty keeps the
      * canonical hb1 path; otherwise every trace runs the engine
-     * family (engines/family.hh) and the per-trace counts come from
-     * fillFromEngineFamily().  Chain engines only (hb1/shb/wcp);
-     * incompatible with stream (wcp needs whole-trace state).
+     * family (engines/family.hh): races/dataRaces then come from the
+     * weakest (superset) chain engine that ran, partitions from hb1.
+     * Chain engines only (hb1/shb/wcp); incompatible with stream
+     * (wcp needs whole-trace state).
      */
     std::vector<engines::EngineKind> engineKinds;
 };
@@ -167,25 +115,16 @@ struct BatchResult
     std::size_t numFailed() const;
 };
 
+/** Count @p batch's per-trace outcomes (analyzed, failed, skipped,
+ *  salvaged, bytes read) into its metrics. */
+void tallyOutcomes(BatchResult &batch);
+
 /**
  * Analyze every trace of @p corpus per @p opts.  The corpus must be
  * ok(); pass the result of scanCorpus() or a hand-built file list.
  */
 BatchResult runBatch(const CorpusScan &corpus,
                      const BatchOptions &opts = {});
-
-/**
- * Fill @p out's summary counts from a detector-family run — the
- * `--engine` twin of the analyzeTrace() copy.  races/dataRaces come
- * from the weakest chain engine that ran (the superset under the
- * containment chain, so "races" reads as "everything any selected
- * engine predicts"); the partition fields come from hb1 when it ran
- * and stay 0 otherwise; anyDataRace is the family OR.  Shared with
- * the serve subsystem so a served `--engine` meta block equals a
- * local batch's field for field.
- */
-void fillFromEngineFamily(const engines::EngineFamilyResult &fam,
-                          TraceRunResult &out);
 
 } // namespace wmr
 

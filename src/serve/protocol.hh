@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "pipeline/analysis_request.hh"
+
 namespace wmr::serve {
 
 /** What a request asks the server to do. */
@@ -104,32 +106,15 @@ struct Request
 };
 
 /**
- * The machine-readable per-trace summary of an Analyze response —
- * field-for-field what batch keeps in a TraceRunResult, so the batch
- * client rebuilds its aggregate report from serves alone.
+ * The machine-readable per-trace summary of an Analyze response: the
+ * request path's TraceRunResult — field for field the batch row —
+ * plus the content hash, so the batch client rebuilds its aggregate
+ * report from serves alone.  path and status stay off the wire.
  */
-struct ResponseMeta
+struct ResponseMeta : TraceRunResult
 {
-    std::uint64_t fileBytes = 0;
-    std::uint64_t events = 0;
-    std::uint64_t syncEvents = 0;
-    std::uint64_t ops = 0;
-    std::uint64_t races = 0;
-    std::uint64_t dataRaces = 0;
-    std::uint64_t partitions = 0;
-    std::uint64_t firstPartitions = 0;
-    std::uint64_t reportedRaces = 0;
-    bool anyDataRace = false;
-    bool wholeExecutionSc = false;
-    bool salvaged = false;
-    std::uint64_t unresolvedPairings = 0;
-    std::uint64_t droppedDataRecords = 0;
-
     /** Content-addressed cache key of the uploaded bytes. */
     std::uint64_t contentHash = 0;
-
-    /** Failure reason (non-Ok statuses). */
-    std::string error;
 };
 
 /** One parsed response. */

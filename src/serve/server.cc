@@ -20,15 +20,11 @@
 #include "fault/fault.hh"
 #include "common/string_util.hh"
 #include "common/worker_pool.hh"
-#include "detect/analysis.hh"
-#include "detect/report.hh"
-#include "engines/family.hh"
+#include "engines/engine.hh"
 #include "obs/obs.hh"
-#include "pipeline/batch_runner.hh"
+#include "pipeline/analysis_request.hh"
 #include "pipeline/checkpoint.hh"
 #include "serve/io_util.hh"
-#include "trace/segmented_io.hh"
-#include "trace/trace_io.hh"
 
 namespace fs = std::filesystem;
 
@@ -38,142 +34,40 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Everything one upload's analysis produced. */
-struct UploadOutcome
-{
-    bool ok = false;
-    std::string error;
-    TraceRunResult rr; ///< journal + meta source
-    std::string report;
-};
-
 /**
- * The serve twin of the batch pipeline's analyzeOneTrace(): parse
- * (either container, optionally salvaging) and analyze an in-memory
- * upload.  The report is provenance + formatReport with default
- * options — EXACTLY what `wmrace check` (no --events) prints, which
- * is the byte-identity contract the golden replay diffs.  A nonzero
- * @p engineWire (validated by readRequest) switches to the detector
- * family: the report becomes provenance + the family report, byte-
- * identical to local `wmrace check --engine NAME`.
+ * The request for one upload: provenance + the canonical report —
+ * EXACTLY what `wmrace check` (no --events) prints, the byte-identity
+ * contract the golden replay diffs — or, with an engine selector in
+ * @p reqFlags, provenance + the family report of local
+ * `wmrace check --engine NAME`.
  */
-UploadOutcome
-analyzeUpload(const std::vector<std::uint8_t> &bytes, bool salvage,
-              unsigned threads,
-              std::uint32_t engineWire = kWireEngineDefault)
+AnalysisRequest
+uploadRequest(const std::vector<std::uint8_t> &body,
+              std::uint32_t reqFlags, unsigned threads)
 {
-    UploadOutcome out;
-    out.rr.fileBytes = bytes.size();
-
-    ExecutionTrace trace;
-    bool segmented = false;
-    SalvageInfo salvageInfo;
-    {
-        obs::Span parseSpan("serve.parse");
-        if (looksSegmented(bytes.data(), bytes.size())) {
-            segmented = true;
-            auto seg = salvage ? trySalvageTrace(bytes)
-                               : tryReadSegmentedTrace(bytes);
-            if (seg.ok() && seg.salvage.salvaged &&
-                seg.trace.events().empty()) {
-                seg.status = TraceIoStatus::FormatError;
-                seg.error = "salvage recovered no events (" +
-                            seg.salvage.summary() + ")";
-            }
-            if (!seg.ok()) {
-                out.rr.status =
-                    seg.status == TraceIoStatus::IoError
-                        ? TraceRunStatus::IoError
-                        : TraceRunStatus::FormatError;
-                out.rr.error = seg.error;
-                out.error = seg.error;
-                return out;
-            }
-            out.rr.salvaged = seg.salvage.salvaged;
-            out.rr.unresolvedPairings =
-                seg.salvage.unresolvedPairings;
-            out.rr.droppedDataRecords =
-                seg.salvage.droppedDataRecords;
-            salvageInfo = seg.salvage;
-            trace = std::move(seg.trace);
-        } else {
-            auto parsed = tryDeserializeTrace(bytes);
-            if (!parsed.ok()) {
-                out.rr.status =
-                    parsed.status == TraceIoStatus::IoError
-                        ? TraceRunStatus::IoError
-                        : TraceRunStatus::FormatError;
-                out.rr.error = parsed.error;
-                out.error = parsed.error;
-                return out;
-            }
-            trace = std::move(parsed.trace);
-        }
-    }
-
-    obs::Span analyzeSpan("serve.analyze");
+    AnalysisRequest req;
+    req.bytes = &body;
+    req.salvage = (reqFlags & kReqSalvage) != 0;
     // engineWireName is null for 0/default AND for out-of-range ids
     // (possible only via a mangled spool file name — live requests
     // are validated by readRequest); both take the canonical path.
-    if (const char *name = engineWireName(engineWire)) {
+    if (const char *name = engineWireName(requestEngineWire(reqFlags))) {
         const auto kinds = engines::parseEngineSelection(name);
         wmr_assert(kinds.has_value());
-        engines::EngineFamilyOptions fopts;
-        fopts.kinds = *kinds;
-        fopts.threads = threads;
-        const engines::EngineFamilyResult fam =
-            engines::runEngineFamily(trace, fopts);
-        out.rr.status = TraceRunStatus::Ok;
-        fillFromEngineFamily(fam, out.rr);
-        out.report = formatTraceProvenance(segmented, salvageInfo) +
-                     engines::formatFamilyReport(fam);
-        out.ok = true;
-        return out;
+        req.engines = *kinds;
     }
-    AnalysisOptions aopts;
-    aopts.threads = threads;
-    const DetectionResult det = analyzeTrace(std::move(trace), aopts);
-
-    out.rr.status = TraceRunStatus::Ok;
-    out.rr.events = det.trace().events().size();
-    out.rr.syncEvents = det.trace().numSyncEvents();
-    out.rr.ops = det.trace().totalOps();
-    out.rr.races = det.races().size();
-    out.rr.dataRaces = det.numDataRaces();
-    out.rr.partitions = det.partitions().partitions.size();
-    out.rr.firstPartitions = det.partitions().firstPartitions.size();
-    out.rr.reportedRaces = det.reportedRaces().size();
-    out.rr.anyDataRace = det.anyDataRace();
-    out.rr.wholeExecutionSc = det.scp().wholeExecutionSc;
-
-    out.report = formatTraceProvenance(segmented, salvageInfo) +
-                 formatReport(det);
-    out.ok = true;
-    return out;
+    req.analysis.threads = threads;
+    req.render = true;
+    req.spans.parse = "serve.parse";
+    req.spans.analyze = "serve.analyze";
+    return req;
 }
 
-/** Copy a completed run into the wire meta block. */
-ResponseMeta
-metaFromRunResult(const TraceRunResult &rr, std::uint64_t hash)
+/** The served report text: provenance + report. */
+std::string
+servedReport(AnalysisOutcome &out)
 {
-    ResponseMeta m;
-    m.fileBytes = rr.fileBytes;
-    m.events = rr.events;
-    m.syncEvents = rr.syncEvents;
-    m.ops = rr.ops;
-    m.races = rr.races;
-    m.dataRaces = rr.dataRaces;
-    m.partitions = rr.partitions;
-    m.firstPartitions = rr.firstPartitions;
-    m.reportedRaces = rr.reportedRaces;
-    m.anyDataRace = rr.anyDataRace;
-    m.wholeExecutionSc = rr.wholeExecutionSc;
-    m.salvaged = rr.salvaged;
-    m.unresolvedPairings = rr.unresolvedPairings;
-    m.droppedDataRecords = rr.droppedDataRecords;
-    m.contentHash = hash;
-    m.error = rr.error;
-    return m;
+    return std::move(out.provenance) + std::move(out.report);
 }
 
 std::uint32_t
@@ -380,16 +274,15 @@ Server::recoverSpool()
         const std::uint32_t flags =
             flagsFromSpoolName(de.path().filename().string());
         // Never trust the name for the content address: rehash.
-        UploadOutcome out = analyzeUpload(
-            bytes, (flags & kReqSalvage) != 0, bootThreads,
-            requestEngineWire(flags));
-        if (out.ok) {
+        AnalysisOutcome out =
+            runAnalysisRequest(uploadRequest(bytes, flags, bootThreads));
+        if (out.ok()) {
             CacheKey key{contentHash64(bytes.data(), bytes.size()),
                          bytes.size(), cacheRelevantFlags(flags)};
             CachedResult value;
-            value.meta = metaFromRunResult(out.rr, key.hash);
-            value.respFlags = responseFlagsFor(out.rr);
-            value.report = out.report;
+            value.meta = ResponseMeta{out.result, key.hash};
+            value.respFlags = responseFlagsFor(out.result);
+            value.report = servedReport(out);
             cache_.put(key, value);
         }
         recovered_.fetch_add(1, std::memory_order_relaxed);
@@ -788,17 +681,15 @@ Server::serveJob(Job &job, unsigned analysisThreads)
     analyses_.fetch_add(1, std::memory_order_relaxed);
     obs::counter("serve.analyses").inc();
 
-    const bool salvage = (job.reqFlags & kReqSalvage) != 0;
-    UploadOutcome out =
-        analyzeUpload(job.body, salvage, analysisThreads,
-                      requestEngineWire(job.reqFlags));
+    AnalysisOutcome out = runAnalysisRequest(
+        uploadRequest(job.body, job.reqFlags, analysisThreads));
 
     Response resp;
-    if (out.ok) {
+    if (out.ok()) {
         resp.status = RespStatus::Ok;
-        resp.flags = responseFlagsFor(out.rr);
-        resp.meta = metaFromRunResult(out.rr, job.key.hash);
-        resp.report = std::move(out.report);
+        resp.flags = responseFlagsFor(out.result);
+        resp.meta = ResponseMeta{out.result, job.key.hash};
+        resp.report = servedReport(out);
         if ((job.reqFlags & kReqNoCache) == 0) {
             CachedResult value;
             value.meta = resp.meta;
@@ -808,7 +699,7 @@ Server::serveJob(Job &job, unsigned analysisThreads)
         }
     } else {
         resp.status = RespStatus::BadRequest;
-        resp.meta = metaFromRunResult(out.rr, job.key.hash);
+        resp.meta = ResponseMeta{out.result, job.key.hash};
         badRequests_.fetch_add(1, std::memory_order_relaxed);
         obs::counter("serve.bad_request").inc();
     }
@@ -819,8 +710,8 @@ Server::serveJob(Job &job, unsigned analysisThreads)
     // unlinked (the response IS being sent), we merely lose the
     // crash-dedup for this one request — counted, not fatal.
     if (!job.spoolPath.empty() && journal_) {
-        out.rr.path = job.spoolPath;
-        if (!journal_->append(out.rr))
+        out.result.path = job.spoolPath;
+        if (!journal_->append(out.result))
             obs::counter("serve.journal.degraded").inc();
         ::unlink(job.spoolPath.c_str());
     }

@@ -467,18 +467,7 @@ loadFile(const std::string &path, std::vector<std::uint8_t> &bytes,
         error = "cannot read '" + path + "'";
         return false;
     }
-    // Fault injection on the read boundary: a short read drops the
-    // file's tail (param = bytes to drop), a bit-flip corrupts one
-    // byte (param = byte offset).  Both land AFTER a successful read,
-    // modelling storage rot rather than syscall failure — the frame
-    // CRCs must turn either into typed damage, never a wrong report.
-    std::uint64_t p = 0;
-    if (fault::at("trace.read.short", &p) && !bytes.empty()) {
-        const std::size_t drop = std::max<std::uint64_t>(p, 1);
-        bytes.resize(bytes.size() > drop ? bytes.size() - drop : 0);
-    }
-    if (fault::at("trace.read.bitflip", &p) && !bytes.empty())
-        bytes[p % bytes.size()] ^= 0x01;
+    injectReadFaults(bytes);
     return true;
 }
 
@@ -495,6 +484,23 @@ readSegmentedFile(const std::string &path, bool strict)
 }
 
 } // namespace
+
+void
+injectReadFaults(std::vector<std::uint8_t> &bytes)
+{
+    // A short read drops the file's tail (param = bytes to drop), a
+    // bit-flip corrupts one byte (param = byte offset).  Both land
+    // AFTER a successful read, modelling storage rot rather than
+    // syscall failure — the frame CRCs must turn either into typed
+    // damage, never a wrong report.
+    std::uint64_t p = 0;
+    if (fault::at("trace.read.short", &p) && !bytes.empty()) {
+        const std::size_t drop = std::max<std::uint64_t>(p, 1);
+        bytes.resize(bytes.size() > drop ? bytes.size() - drop : 0);
+    }
+    if (fault::at("trace.read.bitflip", &p) && !bytes.empty())
+        bytes[p % bytes.size()] ^= 0x01;
+}
 
 bool
 looksSegmented(const std::uint8_t *data, std::size_t n)

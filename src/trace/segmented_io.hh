@@ -133,6 +133,14 @@ trySalvageTrace(const std::vector<std::uint8_t> &bytes);
 SegTraceReadResult trySalvageTraceFile(const std::string &path);
 
 /**
+ * The fault-injection sites of a whole-file segmented read
+ * (`trace.read.short`, `trace.read.bitflip`; docs/FAULTS.md), applied
+ * to @p bytes just read from disk.  The file readers above call it;
+ * so does every other loader of segmented files.
+ */
+void injectReadFaults(std::vector<std::uint8_t> &bytes);
+
+/**
  * One decoded event in FILE order, exactly as framed on the wire:
  * the pairing field is the ordinal reference (1 + file ordinal of the
  * paired release, 0 = unpaired) — consumers that process segments

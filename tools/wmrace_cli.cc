@@ -29,8 +29,14 @@
  *   --timeline                     print the per-processor timeline
  *   --onthefly                     also run the on-the-fly detector
  *
- * Options of `check`: --dot FILE, --events, --salvage, --jobs N,
- *   --stats, --stream [--window N] (see below), and
+ * Options of `check`: --dot FILE, --events, --salvage (recover the
+ *   longest valid prefix of a damaged segmented trace), --jobs N
+ *   (analysis threads; the report is byte-identical at every N),
+ *   --stats (per-stage timing to stderr), --stream [--window N]
+ *   (the bounded-memory engine, src/stream/ and docs/STREAMING.md:
+ *   byte-identical report, O(window) memory, so traces larger than
+ *   RAM check fine; composes with --salvage and --stats but not with
+ *   the whole-trace-only --events/--dot/--jobs), and
  *   --engine hb1|shb|wcp|vc|epoch|lockset|all: run the selected
  *   detector engine(s) over one pass of the event stream and print
  *   the detector family report with per-engine verdict blocks and
@@ -107,17 +113,6 @@
  * crashed or killed child still leaves a salvageable trace, which
  * `record` analyzes instead of fataling.
  *
- * Options of `check`: --dot FILE, --events, --salvage (recover the
- * longest valid prefix of a damaged segmented trace), --jobs N
- * (analysis threads; the report is byte-identical at every N),
- * --stats (per-stage timing to stderr), and --stream [--window N]:
- * analyze a segmented trace with the bounded-memory streaming
- * engine (src/stream/, docs/STREAMING.md) — the report is
- * byte-identical to the whole-trace path, memory is O(window)
- * instead of O(trace), so traces larger than RAM check fine.
- * --stream composes with --salvage and --stats but not with the
- * whole-trace-only --events/--dot/--jobs.
- *
  * Options of `gen-trace` (see SyntheticTraceOptions): --procs N,
  *   --events N (per processor), --words N, --sync-words N, --seed N,
  *   --sync-fraction X, --hot-fraction X, --segmented (WMRSEG01
@@ -158,14 +153,14 @@
 #include "detect/dot_export.hh"
 #include "detect/report.hh"
 #include "detect/robustness.hh"
-#include "engines/family.hh"
-#include "engines/shb_engine.hh"
+#include "engines/engine.hh"
 #include "obs/export.hh"
 #include "obs/obs.hh"
 #include "sim/exec_stats.hh"
 #include "mc/explorer.hh"
 #include "onthefly/first_race_filter.hh"
 #include "pipeline/aggregate_report.hh"
+#include "pipeline/analysis_request.hh"
 #include "pipeline/batch_runner.hh"
 #include "pipeline/checkpoint.hh"
 #include "prog/assembler.hh"
@@ -495,226 +490,122 @@ cmdRun(const Args &args)
     return det.anyDataRace() ? 1 : 0;
 }
 
-/** @return whether the file at @p path starts with the segmented
- *  trace magic (false on unreadable files too). */
-bool
-fileLooksSegmented(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::uint8_t head[8] = {};
-    if (!in.read(reinterpret_cast<char *>(head), sizeof(head)))
-        return false;
-    return looksSegmented(head, sizeof(head));
-}
-
-/** A trace loaded for analysis plus its provenance. */
-struct LoadedTrace
-{
-    bool ok = false;
-    ExecutionTrace trace;
-    std::string error;
-    bool segmented = false;
-    SalvageInfo salvage;
-};
-
 /**
- * Load @p path whichever container it uses.  @p allowSalvage makes
- * a damaged/incomplete segmented file recover its longest valid
- * prefix instead of failing.
+ * Parse the analysis flags `check` and `batch` share into @p req —
+ * --salvage, --stream, --window, --engine, and --jobs into @p jobs
+ * (check: analysis threads; batch: the thread budget) — and apply
+ * every flag-combination rejection of both commands in one place.
+ * @return 0, or 2 after a malformed value; impossible combinations
+ * fatal().
  */
-LoadedTrace
-loadRecordedTrace(const std::string &path, bool allowSalvage)
-{
-    LoadedTrace out;
-    if (fileLooksSegmented(path)) {
-        out.segmented = true;
-        auto res = allowSalvage ? trySalvageTraceFile(path)
-                                : tryReadSegmentedTraceFile(path);
-        out.ok = res.ok();
-        out.trace = std::move(res.trace);
-        out.error = std::move(res.error);
-        out.salvage = std::move(res.salvage);
-        return out;
-    }
-    auto res = tryReadTraceFile(path);
-    out.ok = res.ok();
-    out.trace = std::move(res.trace);
-    out.error = std::move(res.error);
-    return out;
-}
-
-/**
- * The report header lines stating what the analyzed trace actually
- * is: salvage provenance and recorder-side data loss, so a partial
- * or Drop-mode trace can never masquerade as a complete one.  The
- * rendering lives in formatTraceProvenance() (segmented_io.hh),
- * shared with the serve subsystem so a served report stays
- * byte-identical to a local one.
- */
-void
-printTraceProvenance(const LoadedTrace &lt)
-{
-    std::printf("%s",
-                formatTraceProvenance(lt.segmented, lt.salvage)
-                    .c_str());
-}
-
-/**
- * `wmrace check --stream`: the bounded-memory engine (src/stream/).
- * Stdout — provenance, report, exit code — is byte-identical to the
- * whole-trace path on the same file; only the memory profile
- * differs.  The whole-trace-only extras (--events, --dot, --jobs)
- * need the materialized event list / hb graph and are rejected.
- */
-/**
- * Synthesize the SHB verdict block from a finished streaming
- * analysis.  SHB's race set equals the full hb1-unordered set — the
- * exact set the streaming engine enumerates — so `check --stream
- * --engine shb` prints byte-identically to the whole-trace
- * `check --engine shb` on the same file.  wcp (lock-region history)
- * and hb1 (partition structure) need whole-trace state the
- * bounded-memory window retires, so they stay whole-trace-only.
- */
-engines::EngineFamilyResult
-shbFamilyFromStream(const StreamResult &sr)
-{
-    engines::EngineFamilyResult fam;
-    fam.info.numEvents = sr.events;
-    fam.info.numSyncEvents =
-        static_cast<std::uint32_t>(sr.syncEvents);
-    fam.info.totalOps = sr.ops;
-
-    engines::EngineVerdict v;
-    v.engine = "shb";
-    v.semantics = engines::ShbEngine::semanticsLine();
-    v.races.reserve(sr.report.races.size());
-    for (const ReportRaceModel &r : sr.report.races) {
-        engines::EngineRace er;
-        er.a = r.a.id;
-        er.b = r.b.id;
-        er.addrs = r.addrs;
-        er.isDataRace = r.isDataRace;
-        v.races.push_back(std::move(er));
-    }
-    for (std::uint32_t i = 0; i < v.races.size(); ++i) {
-        if (v.races[i].isDataRace)
-            ++v.numDataRaces;
-        v.reported.push_back(i);
-    }
-    v.anyDataRace = v.numDataRaces != 0;
-    v.firstRacePerVar = engines::firstRacePerVariable(v.races);
-
-    fam.anyDataRace = v.anyDataRace;
-    fam.verdicts.push_back(std::move(v));
-    return fam;
-}
-
 int
-cmdCheckStream(const Args &args)
+parseRequestFlags(const Args &args, const char *cmd,
+                  AnalysisRequest &req, unsigned &jobs)
 {
-    if (args.has("events") || args.has("dot") || args.has("jobs"))
-        fatal("check: --stream keeps no whole-trace state; --events, "
-              "--dot and --jobs do not apply");
-    std::optional<std::vector<engines::EngineKind>> engineKinds;
-    if (!parseEngine(args, "check", engineKinds))
+    const bool batch = std::strcmp(cmd, "batch") == 0;
+    req.salvage = args.has("salvage");
+    req.stream = args.has("stream");
+    std::optional<std::vector<engines::EngineKind>> kinds;
+    if (!parseJobs(args, cmd, jobs) ||
+        !parseWindow(args, cmd, req.window) ||
+        !parseEngine(args, cmd, kinds))
         return 2;
-    if (engineKinds.has_value() &&
-        (engineKinds->size() != 1 ||
-         engineKinds->front() != engines::EngineKind::Shb))
-        fatal("check: --stream supports --engine shb only (the "
-              "other engines need whole-trace state the "
-              "bounded-memory window retires; run without --stream)");
-    const std::string &path = args.positional()[0];
-    if (!fileLooksSegmented(path))
-        fatal("check: --stream requires a segmented trace "
-              "(WMRSEG01); re-record with the segmented writer or "
-              "run without --stream");
-    StreamOptions sopts;
-    sopts.strict = !args.has("salvage");
-    if (!parseWindow(args, "check", sopts.windowSegments))
-        return 2;
-    const StreamResult sr = streamAnalyzeFile(path, sopts);
-    if (!sr.ok)
-        fatal("%s%s", sr.error.c_str(),
-              !args.has("salvage")
-                  ? "  (re-run with --salvage to recover the valid "
-                    "prefix)"
-                  : "");
-    std::printf("%s",
-                formatTraceProvenance(true, sr.salvage).c_str());
-    if (engineKinds.has_value()) {
-        // Same data-race set, so the exit code below still applies.
-        std::printf("%s", engines::formatFamilyReport(
-                              shbFamilyFromStream(sr))
-                              .c_str());
-    } else {
-        std::printf("%s",
-                    renderReport(sr.report, nullptr, ReportOptions{})
-                        .c_str());
+    if (kinds.has_value())
+        req.engines = *kinds;
+    const bool engine = kinds.has_value();
+
+    if (!batch) {
+        if (req.stream && (args.has("events") || args.has("dot") ||
+                           args.has("jobs")))
+            fatal("check: --stream keeps no whole-trace state; "
+                  "--events, --dot and --jobs do not apply");
+        if (req.stream && engine &&
+            req.engines != std::vector{engines::EngineKind::Shb})
+            fatal("check: --stream supports --engine shb only (the "
+                  "other engines need whole-trace state the "
+                  "bounded-memory window retires; run without "
+                  "--stream)");
+        if (engine && (args.has("events") || args.has("dot")))
+            fatal("check: --engine prints the detector family "
+                  "report; --events and --dot apply only to the "
+                  "default hb1 path");
+        return 0;
     }
-    if (args.has("stats"))
-        std::fprintf(
-            stderr,
-            "stream: %llu segments, peak resident %llu events, "
-            "%llu windows retired\n",
-            static_cast<unsigned long long>(sr.segments),
-            static_cast<unsigned long long>(sr.peakResident),
-            static_cast<unsigned long long>(sr.windowsRetired));
-    return sr.anyDataRace ? 1 : 0;
+    if (req.stream && args.has("server"))
+        fatal("batch: --stream does not combine with --server (the "
+              "server analyzes with its own engine)");
+    if (engine && req.stream)
+        fatal("batch: --engine does not combine with --stream "
+              "(only shb is stream-derivable; use `wmrace check "
+              "--stream --engine shb` per trace)");
+    for (const engines::EngineKind k : req.engines) {
+        if (k != engines::EngineKind::Hb1 &&
+            k != engines::EngineKind::Shb &&
+            k != engines::EngineKind::Wcp)
+            fatal("batch: --engine supports the containment "
+                  "chain only (hb1|shb|wcp|all); the op-level "
+                  "adapters are `check`-only");
+    }
+    if (args.has("server") && args.has("checkpoint"))
+        fatal("batch: --checkpoint does not combine with "
+              "--server (the server's --spool-dir is the "
+              "crash-safety mechanism there)");
+    if (args.has("server") && args.has("fail-fast"))
+        fatal("batch: --fail-fast does not combine with "
+              "--server (submissions run concurrently)");
+    return 0;
 }
 
+/**
+ * `wmrace check`: one trace, whole-trace or `--stream` (the
+ * bounded-memory engine, byte-identical stdout).
+ */
 int
 cmdCheck(const Args &args)
 {
     if (args.positional().empty())
         fatal("check: missing trace file");
     const TraceOut traceOut(args);
-    if (args.has("stream"))
-        return cmdCheckStream(args);
-    const LoadedTrace lt = loadRecordedTrace(args.positional()[0],
-                                             args.has("salvage"));
-    if (!lt.ok)
-        fatal("%s%s", lt.error.c_str(),
-              lt.segmented && !args.has("salvage")
+    AnalysisRequest req;
+    req.path = args.positional()[0];
+    if (const int rc = parseRequestFlags(args, "check", req,
+                                         req.analysis.threads))
+        return rc;
+    if (req.stream && !fileLooksSegmented(req.path))
+        fatal("check: --stream requires a segmented trace "
+              "(WMRSEG01); re-record with the segmented writer or "
+              "run without --stream");
+    req.render = true;
+    req.report.showEvents = args.has("events");
+    req.keepDetection = args.has("dot");
+
+    const AnalysisOutcome out = runAnalysisRequest(req);
+    if (!out.ok())
+        fatal("%s%s", out.result.error.c_str(),
+              out.segmented && !req.salvage
                   ? "  (re-run with --salvage to recover the valid "
                     "prefix)"
                   : "");
-    printTraceProvenance(lt);
-    AnalysisOptions aopts;
-    if (!parseJobs(args, "check", aopts.threads))
-        return 2;
-    std::optional<std::vector<engines::EngineKind>> engineKinds;
-    if (!parseEngine(args, "check", engineKinds))
-        return 2;
-    if (engineKinds.has_value()) {
-        if (args.has("events") || args.has("dot"))
-            fatal("check: --engine prints the detector family "
-                  "report; --events and --dot apply only to the "
-                  "default hb1 path");
-        engines::EngineFamilyOptions fopts;
-        fopts.kinds = *engineKinds;
-        fopts.threads = aopts.threads;
-        const engines::EngineFamilyResult fam =
-            engines::runEngineFamily(lt.trace, fopts);
-        std::printf("%s",
-                    engines::formatFamilyReport(fam).c_str());
-        return fam.anyDataRace ? 1 : 0;
-    }
-    const DetectionResult det = analyzeTrace(lt.trace, aopts);
-    ReportOptions ropts;
-    ropts.showEvents = args.has("events");
-    std::printf("%s", formatReport(det, nullptr, ropts).c_str());
+    std::printf("%s%s", out.provenance.c_str(), out.report.c_str());
     if (args.has("dot")) {
-        writeDotFile(det, args.get("dot"));
+        writeDotFile(*out.detection, args.get("dot"));
         std::printf("wrote DOT graph to %s\n",
                     args.get("dot").c_str());
     }
     // Timing is nondeterministic by nature: --stats goes to stderr
     // so stdout stays byte-identical at every --jobs value.
-    if (args.has("stats"))
+    if (args.has("stats") && req.stream)
+        std::fprintf(
+            stderr,
+            "stream: %llu segments, peak resident %llu events, "
+            "%llu windows retired\n",
+            static_cast<unsigned long long>(out.streamSegments),
+            static_cast<unsigned long long>(out.peakResident),
+            static_cast<unsigned long long>(out.windowsRetired));
+    else if (args.has("stats") && req.engines.empty())
         std::fprintf(stderr, "%s",
-                     formatAnalysisStats(det.stats()).c_str());
-    return det.anyDataRace() ? 1 : 0;
+                     formatAnalysisStats(out.analysis).c_str());
+    return out.result.anyDataRace ? 1 : 0;
 }
 
 /**
@@ -770,36 +661,15 @@ runBatchOverServer(const CorpusScan &corpus,
                            : m.error;
             return;
         }
+        rr = m; // the meta IS the row; path and status stay local
+        rr.path = path;
         rr.status = TraceRunStatus::Ok;
-        rr.fileBytes = m.fileBytes;
-        rr.events = m.events;
-        rr.syncEvents = m.syncEvents;
-        rr.ops = m.ops;
-        rr.races = m.races;
-        rr.dataRaces = m.dataRaces;
-        rr.partitions = m.partitions;
-        rr.firstPartitions = m.firstPartitions;
-        rr.reportedRaces = m.reportedRaces;
-        rr.anyDataRace = m.anyDataRace;
-        rr.wholeExecutionSc = m.wholeExecutionSc;
-        rr.salvaged = m.salvaged;
-        rr.unresolvedPairings = m.unresolvedPairings;
-        rr.droppedDataRecords = m.droppedDataRecords;
     });
 
     BatchMetrics &met = batch.metrics;
     met.jobs = lanes;
     met.corpusTraces = corpus.files.size();
-    for (const TraceRunResult &rr : batch.traces) {
-        if (rr.ok()) {
-            met.analyzed += 1;
-            met.bytesRead += rr.fileBytes;
-            if (rr.salvaged)
-                met.salvaged += 1;
-        } else {
-            met.failed += 1;
-        }
-    }
+    tallyOutcomes(batch);
     met.wallSeconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     return batch;
@@ -816,34 +686,14 @@ cmdBatch(const Args &args)
         fatal("%s", corpus.error.c_str());
 
     BatchOptions opts;
-    if (!parseJobs(args, "batch", opts.jobs))
-        return 2;
+    AnalysisRequest req;
+    if (const int rc = parseRequestFlags(args, "batch", req, opts.jobs))
+        return rc;
     opts.failFast = args.has("fail-fast");
-    opts.salvage = args.has("salvage");
-    opts.stream = args.has("stream");
-    if (!parseWindow(args, "batch", opts.streamWindow))
-        return 2;
-    if (args.has("stream") && args.has("server"))
-        fatal("batch: --stream does not combine with --server (the "
-              "server analyzes with its own engine)");
-    std::optional<std::vector<engines::EngineKind>> engineKinds;
-    if (!parseEngine(args, "batch", engineKinds))
-        return 2;
-    if (engineKinds.has_value()) {
-        if (args.has("stream"))
-            fatal("batch: --engine does not combine with --stream "
-                  "(only shb is stream-derivable; use `wmrace check "
-                  "--stream --engine shb` per trace)");
-        for (const engines::EngineKind k : *engineKinds) {
-            if (k != engines::EngineKind::Hb1 &&
-                k != engines::EngineKind::Shb &&
-                k != engines::EngineKind::Wcp)
-                fatal("batch: --engine supports the containment "
-                      "chain only (hb1|shb|wcp|all); the op-level "
-                      "adapters are `check`-only");
-        }
-        opts.engineKinds = *engineKinds;
-    }
+    opts.salvage = req.salvage;
+    opts.stream = req.stream;
+    opts.streamWindow = req.window;
+    opts.engineKinds = req.engines;
     if (args.has("checkpoint")) {
         opts.checkpointPath = args.get("checkpoint");
         if (opts.checkpointPath.empty())
@@ -852,13 +702,6 @@ cmdBatch(const Args &args)
 
     BatchResult remoteBatch;
     if (args.has("server")) {
-        if (args.has("checkpoint"))
-            fatal("batch: --checkpoint does not combine with "
-                  "--server (the server's --spool-dir is the "
-                  "crash-safety mechanism there)");
-        if (args.has("fail-fast"))
-            fatal("batch: --fail-fast does not combine with "
-                  "--server (submissions run concurrently)");
         serve::ServerAddress addr;
         std::string err;
         if (!serve::parseServerAddress(args.get("server"), addr,
@@ -1176,42 +1019,6 @@ cmdRecord(int argc, char **argv)
 
     std::printf("recorded '%s' -> %s\n", child.c_str(), out.c_str());
 
-    if (live) {
-        childAlive.store(false);
-        feeder.join();
-        const bool strict = !oc.abnormal();
-        if (!tail->isOpen()) {
-            std::fprintf(stderr,
-                         "record: no analyzable trace: %s\n",
-                         tail->error().empty()
-                             ? "the child never created the trace "
-                               "file"
-                             : tail->error().c_str());
-            return 3;
-        }
-        if (!tail->finalize(strict)) {
-            std::fprintf(stderr,
-                         "record: no analyzable trace: %s\n",
-                         tail->error().c_str());
-            return 3;
-        }
-        liveAn->setStrict(strict);
-        const StreamResult sr = liveAn->finish(
-            tail->finSeen(), tail->fin(), tail->salvage());
-        if (!sr.ok) {
-            std::fprintf(stderr,
-                         "record: no analyzable trace: %s\n",
-                         sr.error.c_str());
-            return 3;
-        }
-        std::printf("%s",
-                    formatTraceProvenance(true, sr.salvage).c_str());
-        std::printf("%s",
-                    renderReport(sr.report, nullptr, ReportOptions{})
-                        .c_str());
-        return sr.anyDataRace ? 1 : 0;
-    }
-
     if (!check) {
         // --no-check keeps whatever trace the child left, even after
         // an abnormal exit; 0 only when the recording is complete.
@@ -1221,18 +1028,38 @@ cmdRecord(int argc, char **argv)
 
     // Strict read after a clean exit; salvage after an abnormal one
     // (the spill file has no FIN segment — that is expected, not an
-    // error).
-    const LoadedTrace lt = loadRecordedTrace(out, oc.abnormal());
-    if (!lt.ok) {
-        std::fprintf(stderr,
-                     "record: no analyzable trace: %s\n",
-                     lt.error.c_str());
+    // error).  --live applies the same rule to the stream it fed.
+    AnalysisRequest req;
+    req.path = out;
+    req.salvage = oc.abnormal();
+    req.render = true;
+    AnalysisOutcome res;
+    if (live) {
+        childAlive.store(false);
+        feeder.join();
+        if (!tail->isOpen() || !tail->finalize(!req.salvage)) {
+            std::fprintf(stderr,
+                         "record: no analyzable trace: %s\n",
+                         tail->error().empty()
+                             ? "the child never created the trace "
+                               "file"
+                             : tail->error().c_str());
+            return 3;
+        }
+        liveAn->setStrict(!req.salvage);
+        finishStreamRequest(liveAn->finish(tail->finSeen(), tail->fin(),
+                                           tail->salvage()),
+                            req, res);
+    } else {
+        res = runAnalysisRequest(req);
+    }
+    if (!res.ok()) {
+        std::fprintf(stderr, "record: no analyzable trace: %s\n",
+                     res.result.error.c_str());
         return 3;
     }
-    printTraceProvenance(lt);
-    const DetectionResult det = analyzeTrace(lt.trace);
-    std::printf("%s", formatReport(det, nullptr, {}).c_str());
-    return det.anyDataRace() ? 1 : 0;
+    std::printf("%s%s", res.provenance.c_str(), res.report.c_str());
+    return res.result.anyDataRace ? 1 : 0;
 }
 
 /**
